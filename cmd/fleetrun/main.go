@@ -338,14 +338,7 @@ func run(cfg cliConfig) (int, error) {
 		}
 	}
 	if err != nil {
-		var ie *fleet.InterruptedError
-		if errors.As(err, &ie) {
-			if code := int(cause.Load()); code != 0 {
-				return code, err
-			}
-			return exitInterrupted, err // a chaos kill_after_trials fault
-		}
-		return exitErr, err
+		return exitCode(err, &cause), err
 	}
 
 	if cfg.memprofile != "" {
@@ -410,6 +403,20 @@ func run(cfg cliConfig) (int, error) {
 	return 0, nil
 }
 
+// exitCode maps a failed run to the process exit code: an interrupted
+// run exits with the tripwire that fired (signal or -timeout), or with
+// exitInterrupted when a chaos kill_after_trials fault stopped it.
+func exitCode(err error, cause *atomic.Int32) int {
+	var ie *fleet.InterruptedError
+	if !errors.As(err, &ie) {
+		return exitErr
+	}
+	if code := int(cause.Load()); code != 0 {
+		return code
+	}
+	return exitInterrupted
+}
+
 // phaseCostTable renders the per-scenario phase cost breakdown of a
 // traced run. Counts and tick totals are deterministic for a fixed
 // (campaign, seed); only the wall columns vary run to run.
@@ -420,12 +427,8 @@ func phaseCostTable(spans []obs.Span) *metrics.Table {
 		if scenario == "" {
 			scenario = "(campaign)"
 		}
-		mean := time.Duration(0)
-		if pc.Count > 0 {
-			mean = time.Duration(pc.WallNS / pc.Count)
-		}
 		t.AddRow(scenario, pc.Phase, pc.Count, pc.Ticks,
-			mean.Round(time.Microsecond).String(),
+			time.Duration(pc.MeanWallNS()).Round(time.Microsecond).String(),
 			time.Duration(pc.WallNS).Round(time.Microsecond).String())
 	}
 	t.AddNote("span identity and tick totals are deterministic; wall columns are not (DESIGN.md §11)")
@@ -509,14 +512,7 @@ func runShardMode(cfg cliConfig, camp fleet.Campaign, faults *fleet.FaultPlan, r
 		}
 	}
 	if err != nil {
-		var ie *fleet.InterruptedError
-		if errors.As(err, &ie) {
-			if code := int(cause.Load()); code != 0 {
-				return code, err
-			}
-			return exitInterrupted, err
-		}
-		return exitErr, err
+		return exitCode(err, cause), err
 	}
 	fmt.Fprintf(os.Stderr, "fleetrun: shard %d/%d complete: %d trials in sidecar %s\n", idx, n, ck.Completed, cfg.checkpoint)
 	return 0, nil

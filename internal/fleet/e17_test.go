@@ -214,11 +214,11 @@ func TestMergeAttackPresenceGuard(t *testing.T) {
 // later merge (and the checkpoint validation) would reject it.
 func TestDegradedTrialCarriesAttackAgg(t *testing.T) {
 	camp := miniAttackCampaign(t)
-	deg := DegradedTrialResult(&camp.Scenarios[0])
+	deg := degradedTrialResult(&camp.Scenarios[0])
 	if deg.Attack == nil || deg.Attack.Trials != 0 {
 		t.Fatalf("degraded attacked trial: attack agg %+v, want empty non-nil", deg.Attack)
 	}
-	ok := DegradedTrialResult(&camp.Scenarios[0])
+	ok := degradedTrialResult(&camp.Scenarios[0])
 	if err := ok.Merge(deg); err != nil {
 		t.Fatalf("degraded trial does not merge: %v", err)
 	}
@@ -226,7 +226,7 @@ func TestDegradedTrialCarriesAttackAgg(t *testing.T) {
 		t.Errorf("merged degraded pair: failures=%d attack trials=%d, want 2/0", ok.Failures, ok.Attack.Trials)
 	}
 	plain := smokeCampaign()
-	if deg := DegradedTrialResult(&plain.Scenarios[0]); deg.Attack != nil {
+	if deg := degradedTrialResult(&plain.Scenarios[0]); deg.Attack != nil {
 		t.Error("degraded unattacked trial grew an attack aggregate")
 	}
 }

@@ -75,8 +75,8 @@ const (
 	ShardSlow = "slow"
 )
 
-// ShardFault is a shard-scoped fault, active only under RunShard (the
-// plain Run executor has no shard identity and ignores them). Faults
+// ShardFault is a shard-scoped fault, active only under RunShard (Run
+// has no shard identity and rejects a plan carrying any). Faults
 // are keyed by (shard index, supervisor attempt): by default only the
 // first attempt is sabotaged, so a retried shard recovers and the
 // merged bytes stay clean; Attempts larger than the supervisor's
@@ -104,8 +104,8 @@ type FaultPlan struct {
 	CheckpointWrites []int         `json:"checkpoint_writes,omitempty"`
 	Delays           []WorkerDelay `json:"delays,omitempty"`
 	// Shards lists shard-scoped faults (kill, blackhole, slow). Only
-	// RunShard consults them; the supervisor validates shard indices
-	// against its shard count.
+	// RunShard consults them — Run rejects a plan that has any; the
+	// supervisor validates shard indices against its shard count.
 	Shards []ShardFault `json:"shards,omitempty"`
 	// KillAfterTrials interrupts the run — exactly like
 	// Options.Interrupt firing — once this many trials have been
@@ -207,8 +207,8 @@ type faultInjector struct {
 	ckptFails map[int]bool
 	delays    map[int]time.Duration
 	killAfter int
-	// Shard-scoped faults, armed only when compileFaults sees a
-	// ShardRun whose (index, attempt) a plan entry matches.
+	// Shard-scoped faults, armed only when a plan entry matches the
+	// run's ShardRun (index, attempt).
 	shardKillAt  int // kill abruptly after this many new completions (0 = never)
 	shardWedgeAt int // blackhole after this many new completions (0 = never)
 	shardSlow    time.Duration
@@ -216,8 +216,8 @@ type faultInjector struct {
 
 // compileFaults validates the plan against the campaign and indexes
 // it for the executor. A nil plan compiles to a nil injector. sh is
-// the shard identity of a RunShard invocation (nil under plain Run):
-// shard faults arm only when their (shard, attempt) matches it.
+// the run's shard identity: shard faults arm only when their (shard,
+// attempt) matches it.
 func compileFaults(p *FaultPlan, c Campaign, sh *ShardRun) (*faultInjector, error) {
 	if p == nil {
 		return nil, nil
@@ -248,23 +248,21 @@ func compileFaults(p *FaultPlan, c Campaign, sh *ShardRun) (*faultInjector, erro
 	for _, d := range p.Delays {
 		inj.delays[d.Worker] = time.Duration(d.PerTrialMS) * time.Millisecond
 	}
-	if sh != nil {
-		for _, sf := range p.Shards {
-			attempts := sf.Attempts
-			if attempts == 0 {
-				attempts = 1
-			}
-			if sf.Shard != sh.Index || sh.Attempt > attempts {
-				continue
-			}
-			switch sf.Mode {
-			case ShardKill:
-				inj.shardKillAt = sf.AfterTrials
-			case ShardBlackhole:
-				inj.shardWedgeAt = sf.AfterTrials
-			case ShardSlow:
-				inj.shardSlow = time.Duration(sf.DelayMS) * time.Millisecond
-			}
+	for _, sf := range p.Shards {
+		attempts := sf.Attempts
+		if attempts == 0 {
+			attempts = 1
+		}
+		if sf.Shard != sh.Index || sh.Attempt > attempts {
+			continue
+		}
+		switch sf.Mode {
+		case ShardKill:
+			inj.shardKillAt = sf.AfterTrials
+		case ShardBlackhole:
+			inj.shardWedgeAt = sf.AfterTrials
+		case ShardSlow:
+			inj.shardSlow = time.Duration(sf.DelayMS) * time.Millisecond
 		}
 	}
 	return inj, nil
@@ -290,12 +288,14 @@ func (f *faultInjector) checkpointWriteErr(write int) error {
 	return fmt.Errorf("%w (write %d)", ErrInjectedCheckpointFailure, write)
 }
 
-// delayWorker sleeps if the plan delays this worker.
-func (f *faultInjector) delayWorker(worker int) {
+// delayTrial sleeps before the worker's next trial: the plan's delay
+// for this worker plus an armed slow-shard fault's (wall-clock only,
+// never results).
+func (f *faultInjector) delayTrial(worker int) {
 	if f == nil {
 		return
 	}
-	if d := f.delays[worker]; d > 0 {
+	if d := f.delays[worker] + f.shardSlow; d > 0 {
 		time.Sleep(d)
 	}
 }
@@ -306,17 +306,6 @@ func (f *faultInjector) killAfterTrials() int {
 		return 0
 	}
 	return f.killAfter
-}
-
-// delayShardTrial sleeps every worker per trial when a slow-shard
-// fault is armed (wall-clock only, never results).
-func (f *faultInjector) delayShardTrial() {
-	if f == nil {
-		return
-	}
-	if f.shardSlow > 0 {
-		time.Sleep(f.shardSlow)
-	}
 }
 
 // shardFaultAt reports the armed shard fault firing at the n-th new

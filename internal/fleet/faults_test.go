@@ -48,9 +48,19 @@ func TestFaultPlanValidate(t *testing.T) {
 	if err := ok.Validate(camp); err != nil {
 		t.Errorf("valid plan rejected: %v", err)
 	}
-	// Run must reject an invalid plan up front, not inject nothing.
-	if _, err := Run(camp, Options{Faults: &FaultPlan{KillAfterTrials: -1}}); err == nil {
-		t.Error("Run accepted an invalid fault plan")
+	// Run must reject a plan it cannot honour up front, not inject
+	// nothing: an invalid plan, and shard-scoped faults (Run has no
+	// shard identity to arm them against; only RunShard does).
+	for name, tc := range map[string]struct {
+		plan FaultPlan
+		want string
+	}{
+		"invalid plan":       {FaultPlan{KillAfterTrials: -1}, "kill_after_trials"},
+		"shard-scoped fault": {FaultPlan{Shards: []ShardFault{{Shard: 0, Mode: ShardSlow, DelayMS: 1}}}, "only RunShard"},
+	} {
+		if _, err := Run(camp, Options{Faults: &tc.plan}); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Run with %s: want error containing %q, got %v", name, tc.want, err)
+		}
 	}
 }
 
@@ -153,18 +163,6 @@ func TestInjectedPanicTerminalDegradation(t *testing.T) {
 				s.Name, got, cleanRes.Scenarios[i])
 		}
 	}
-
-	// MaxTrialRetries < 0 disables retries: one attempt, immediately
-	// terminal.
-	res, err = Run(camp, Options{Workers: 1, Seed: 7, MaxTrialRetries: -1, Faults: &FaultPlan{
-		Panics: []PanicFault{{Scenario: "smoke/baseline", Replication: 0}},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.TrialFailures) != 1 || !res.TrialFailures[0].Terminal {
-		t.Errorf("retries disabled: want 1 terminal failure, got %+v", res.TrialFailures)
-	}
 }
 
 // White-box: a panic mid-trial quarantines the worker's pooled
@@ -179,7 +177,7 @@ func TestPanicQuarantinesPooledCluster(t *testing.T) {
 	}
 	inj, err := compileFaults(&FaultPlan{
 		Panics: []PanicFault{{Scenario: camp.Scenarios[0].Name, Replication: 0, Point: PointSubmit}},
-	}, camp, nil)
+	}, camp, &ShardRun{Count: 1, Attempt: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +185,7 @@ func TestPanicQuarantinesPooledCluster(t *testing.T) {
 	w := newTrialWorker(comp, true)
 	w.faults = inj
 	// Populate the pool with a clean trial first.
-	if _, fails, err := w.runTrialIsolated(0, 1, 3); err != nil || len(fails) != 0 {
+	if _, fails, err := w.runTrialIsolated(0, 1); err != nil || len(fails) != 0 {
 		t.Fatalf("clean trial: fails %v err %v", fails, err)
 	}
 	before := w.slots[0].cluster
@@ -195,7 +193,7 @@ func TestPanicQuarantinesPooledCluster(t *testing.T) {
 		t.Fatal("pooling worker retained no cluster")
 	}
 
-	res, fails, err := w.runTrialIsolated(0, 0, 3)
+	res, fails, err := w.runTrialIsolated(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +209,7 @@ func TestPanicQuarantinesPooledCluster(t *testing.T) {
 	}
 
 	fresh := newTrialWorker(comp, false)
-	want, fails, err := fresh.runTrialIsolated(0, 0, 1)
+	want, fails, err := fresh.runTrialIsolated(0, 0)
 	if err != nil || len(fails) != 0 {
 		t.Fatalf("fresh trial: fails %v err %v", fails, err)
 	}

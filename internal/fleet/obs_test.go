@@ -238,20 +238,21 @@ func TestRunMetricsAccounting(t *testing.T) {
 
 	// A degraded run counts its panics, retries and degradations; a
 	// resumed run counts restored trials separately from completed.
+	// Panicking every attempt of the fixed budget forces degradation.
 	reg2 := obs.NewRegistry()
-	if _, err := Run(camp, Options{Workers: 1, Seed: 7, Metrics: reg2, MaxTrialRetries: 1, Faults: &FaultPlan{
+	if _, err := Run(camp, Options{Workers: 1, Seed: 7, Metrics: reg2, Faults: &FaultPlan{
 		Panics: []PanicFault{
-			{Scenario: "smoke/enhanced", Replication: 1, Point: PointBegin, Attempts: 2},
+			{Scenario: "smoke/enhanced", Replication: 1, Point: PointBegin, Attempts: DefaultTrialRetries + 1},
 		},
 	}}); err != nil {
 		t.Fatal(err)
 	}
 	snap2 := reg2.Snapshot()
-	if got := counterValue(snap2, "fleet_trial_panics_total"); got != 2 {
-		t.Errorf("trial_panics = %d, want 2", got)
+	if got := counterValue(snap2, "fleet_trial_panics_total"); got != DefaultTrialRetries+1 {
+		t.Errorf("trial_panics = %d, want %d", got, DefaultTrialRetries+1)
 	}
-	if got := counterValue(snap2, "fleet_trial_retries_total"); got != 1 {
-		t.Errorf("trial_retries = %d, want 1", got)
+	if got := counterValue(snap2, "fleet_trial_retries_total"); got != DefaultTrialRetries {
+		t.Errorf("trial_retries = %d, want %d", got, DefaultTrialRetries)
 	}
 	if got := counterValue(snap2, "fleet_trials_degraded_total"); got != 1 {
 		t.Errorf("trials_degraded = %d, want 1", got)

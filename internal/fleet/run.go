@@ -20,9 +20,9 @@ import (
 // checkpoint writes when Options.CheckpointEvery is unset.
 const DefaultCheckpointEvery = 8
 
-// DefaultTrialRetries is how many times a panicking trial is re-run
-// before it degrades to a counted failure, when Options.MaxTrialRetries
-// is unset.
+// DefaultTrialRetries is how many times a panicking trial is re-run —
+// same (scenario, replication) stream seed, freshly built cluster —
+// before it degrades to a counted failure.
 const DefaultTrialRetries = 2
 
 // Options configures a campaign run.
@@ -65,13 +65,9 @@ type Options struct {
 	// written if CheckpointPath is set, and Run returns
 	// *InterruptedError instead of a result.
 	Interrupt <-chan struct{}
-	// MaxTrialRetries bounds how many times a panicking trial is
-	// re-run — same (scenario, replication) stream seed, freshly
-	// built cluster — before it degrades to an explicit failure.
-	// 0 means DefaultTrialRetries; negative disables retries.
-	MaxTrialRetries int
 	// Faults is the chaos-injection plan (faults.go); nil injects
-	// nothing.
+	// nothing. Run rejects a plan carrying shard-scoped faults: only
+	// RunShard has the shard identity they key on.
 	Faults *FaultPlan
 	// Progress, when non-nil, is called after every completed trial
 	// (and its checkpoint write, if due) with the cumulative
@@ -160,8 +156,8 @@ type ScenarioResult struct {
 }
 
 // Merge folds another shard of the same scenario in. Merge order is
-// the caller's contract: Run always merges in replication order, so
-// floating-point accumulation is reproducible.
+// the caller's contract: ReduceScenario, its one caller, merges in
+// replication order, so floating-point accumulation is reproducible.
 func (r *ScenarioResult) Merge(o *ScenarioResult) error {
 	if r.Name != o.Name {
 		return fmt.Errorf("fleet: merging results of different scenarios (%q vs %q)", r.Name, o.Name)
@@ -183,6 +179,51 @@ func (r *ScenarioResult) Merge(o *ScenarioResult) error {
 		r.Attack.Merge(o.Attack)
 	}
 	return nil
+}
+
+// Clone returns a deep copy: the histogram's bucket slice and the
+// attack aggregate are the reference fields, so merging into the copy
+// never touches r.
+func (r *ScenarioResult) Clone() *ScenarioResult {
+	c := *r
+	h := *r.MakespanHist
+	h.Counts = append([]int64(nil), h.Counts...)
+	c.MakespanHist = &h
+	if c.Attack != nil {
+		c.Attack = c.Attack.Clone()
+	}
+	return &c
+}
+
+// ReduceScenario is the one per-scenario reduction every result goes
+// through — Run's, a shard merge's, the supervisor's streaming
+// merge's: partials[rep] is replication rep's single-trial aggregate,
+// folded in replication (= trial-index) order into a clone of the
+// first. The inputs are never mutated, so a checkpoint's partials can
+// be reduced any number of times. A nil partial is a trial with no
+// result: with degrade it merges as the degraded aggregate (one
+// counted failure), otherwise it is an error.
+func ReduceScenario(s *Scenario, partials []*ScenarioResult, degrade bool) (*ScenarioResult, error) {
+	if len(partials) != s.Replications {
+		return nil, fmt.Errorf("fleet: scenario %q: %d partials for %d replications", s.Name, len(partials), s.Replications)
+	}
+	var agg *ScenarioResult
+	for rep, p := range partials {
+		if p == nil {
+			if !degrade {
+				return nil, fmt.Errorf("fleet: scenario %q replication %d has no result", s.Name, rep)
+			}
+			p = degradedTrialResult(s)
+		}
+		if agg == nil {
+			agg = p.Clone()
+			continue
+		}
+		if err := agg.Merge(p); err != nil {
+			return nil, err
+		}
+	}
+	return agg, nil
 }
 
 // CampaignResult is a completed campaign: one merged ScenarioResult
@@ -273,9 +314,14 @@ func (r *CampaignResult) Table() *metrics.Table {
 // fixed-size per-trial aggregates in trial-index order rather than
 // completion order.
 //
+// Run is the full-range shard of the campaign: the same executor as
+// RunShard over every replication, then ReduceScenario per scenario.
+// Shard-scoped faults have no shard to arm against here, so a plan
+// carrying any is rejected rather than silently ignored.
+//
 // Failure model (see DESIGN.md §8): a panicking trial is retried
 // under the identical stream seed on a quarantined-then-rebuilt
-// cluster up to the retry budget, then degrades to a counted failure;
+// cluster up to DefaultTrialRetries, then degrades to a counted failure;
 // a genuine error (infeasible submit, broken config) still aborts the
 // campaign; Interrupt stops dispatch, drains in-flight trials,
 // checkpoints and returns *InterruptedError. Because restored
@@ -285,22 +331,27 @@ func Run(c Campaign, opt Options) (*CampaignResult, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	st, err := execute(c, opt, nil)
+	if opt.Faults != nil && len(opt.Faults.Shards) > 0 {
+		return nil, fmt.Errorf("fleet: fault plan carries %d shard-scoped fault(s); only RunShard can arm them", len(opt.Faults.Shards))
+	}
+	sh := ShardRun{Count: 1, Attempt: 1, Ranges: make([]RepRange, len(c.Scenarios))}
+	for i, s := range c.Scenarios {
+		sh.Ranges[i].Hi = s.Replications
+	}
+	st, err := execute(c, opt, &sh)
 	if err != nil {
 		return nil, err
 	}
 	res := &CampaignResult{Campaign: c.Name, Seed: opt.Seed, CheckpointWriteFailures: st.writeFailures}
-	i := 0
-	for _, s := range c.Scenarios {
-		agg := st.partials[i]
-		i++
-		for rep := 1; rep < s.Replications; rep++ {
-			if err := agg.Merge(st.partials[i]); err != nil {
-				return nil, err
-			}
-			i++
+	base := 0
+	for i := range c.Scenarios {
+		s := &c.Scenarios[i]
+		agg, err := ReduceScenario(s, st.partials[base:base+s.Replications], false)
+		if err != nil {
+			return nil, err
 		}
 		res.Scenarios = append(res.Scenarios, agg)
+		base += s.Replications
 	}
 	res.TrialFailures = st.failures
 	if opt.Tracer != nil {
@@ -361,8 +412,8 @@ const (
 	stateWedged
 )
 
-// execute runs the campaign's trials — all of them (sh == nil), or a
-// shard's ranges — and leaves the reduction to the caller.
+// execute runs the shard's ranges of the campaign — Run passes the
+// full-range shard — and leaves the reduction to the caller.
 func execute(c Campaign, opt Options, sh *ShardRun) (*runState, error) {
 	comp, err := compileCampaign(c, opt.Seed)
 	if err != nil {
@@ -386,22 +437,16 @@ func execute(c Campaign, opt Options, sh *ShardRun) (*runState, error) {
 			trials = append(trials, trialRef{scenario: si, rep: rep})
 		}
 	}
-	// target marks the trials this run owns: everything, or the
-	// shard's ranges. Out-of-target trials are never dispatched and
-	// never counted toward completion.
+	// target marks the trials this run owns: the shard's ranges.
+	// Out-of-target trials are never dispatched and never counted
+	// toward completion.
 	target := NewBitmap(len(trials))
-	if sh == nil {
-		for ti := range trials {
-			target.Set(ti)
+	base := 0
+	for si, s := range c.Scenarios {
+		for rep := sh.Ranges[si].Lo; rep < sh.Ranges[si].Hi; rep++ {
+			target.Set(base + rep)
 		}
-	} else {
-		base := 0
-		for si, s := range c.Scenarios {
-			for rep := sh.Ranges[si].Lo; rep < sh.Ranges[si].Hi; rep++ {
-				target.Set(base + rep)
-			}
-			base += s.Replications
-		}
+		base += s.Replications
 	}
 	targetN := target.Count()
 	if workers > targetN {
@@ -433,34 +478,18 @@ func execute(c Campaign, opt Options, sh *ShardRun) (*runState, error) {
 		if err := opt.ResumeFrom.ValidateAgainst(c, opt.Seed); err != nil {
 			return nil, err
 		}
+		// Restored partials point into the caller's checkpoint: the
+		// reduction never mutates its inputs, so sharing is safe.
 		base := 0
 		for si := range c.Scenarios {
-			for _, p := range opt.ResumeFrom.Scenarios[si].Partials {
-				// Deep-copy the aggregate: the reduction merges into
-				// the scenario's first partial in place, and sharing
-				// the histogram's bucket slice with the caller's
-				// Checkpoint would corrupt it for a second resume.
-				r := p.Result
-				h := *r.MakespanHist
-				h.Counts = append([]int64(nil), h.Counts...)
-				r.MakespanHist = &h
-				if r.Attack != nil {
-					r.Attack = r.Attack.Clone()
-				}
-				partials[base+p.Replication] = &r
-				restored.Set(base + p.Replication)
+			ps := opt.ResumeFrom.Scenarios[si].Partials
+			for pi := range ps {
+				partials[base+ps[pi].Replication] = &ps[pi].Result
+				restored.Set(base + ps[pi].Replication)
 			}
 			base += c.Scenarios[si].Replications
 		}
 		m.trialsRestored.Add(int64(restored.Count()))
-	}
-
-	attempts := opt.MaxTrialRetries + 1
-	switch {
-	case opt.MaxTrialRetries == 0:
-		attempts = DefaultTrialRetries + 1
-	case opt.MaxTrialRetries < 0:
-		attempts = 1
 	}
 
 	// interrupt trips at most once — from Options.Interrupt or from a
@@ -567,7 +596,7 @@ func execute(c Campaign, opt Options, sh *ShardRun) (*runState, error) {
 			// when the shard dies.
 			switch inj.shardFaultAt(n) {
 			case ShardKill:
-				if sh != nil && sh.Die != nil {
+				if sh.Die != nil {
 					sh.Die() // exec workers self-SIGKILL here and never return
 				}
 				dead = stateKilled
@@ -591,10 +620,9 @@ func execute(c Campaign, opt Options, sh *ShardRun) (*runState, error) {
 				tw.rec = &obs.Recorder{}
 			}
 			for ti := range work {
-				inj.delayWorker(worker)
-				inj.delayShardTrial()
+				inj.delayTrial(worker)
 				ref := trials[ti]
-				partials[ti], failures[ti], errs[ti] = tw.runTrialIsolated(ref.scenario, ref.rep, attempts)
+				partials[ti], failures[ti], errs[ti] = tw.runTrialIsolated(ref.scenario, ref.rep)
 				if tracing {
 					// Like partials: each worker writes only its own
 					// trial's slot, so the groups need no lock and the
@@ -715,15 +743,26 @@ const makespanBuckets = 16
 // of every campaign-shaped experiment (fleet trials, the E4 table,
 // the E16 drain).
 func ProvisionMix(c *core.Cluster, spec workload.MixSpec, rng *metrics.RNG) ([]workload.Submission, error) {
-	creds := make([]ids.Credential, spec.Users)
-	for u := range creds {
+	creds, err := provisionUsers(c, spec.Users, make([]ids.Credential, 0, spec.Users))
+	if err != nil {
+		return nil, err
+	}
+	return spec.Build(rng, creds)
+}
+
+// provisionUsers adds accounts "u0".."u{n-1}" to the cluster and
+// returns their credentials in buf's storage, so a caller that keeps
+// buf across trials provisions without allocating.
+func provisionUsers(c *core.Cluster, n int, buf []ids.Credential) ([]ids.Credential, error) {
+	creds := buf[:0]
+	for u := 0; u < n; u++ {
 		acct, err := c.AddUser(UserName(u), "pw")
 		if err != nil {
 			return nil, err
 		}
-		creds[u] = acct.Cred
+		creds = append(creds, acct.Cred)
 	}
-	return spec.Build(rng, creds)
+	return creds, nil
 }
 
 // compiledScenario is a Scenario with everything trial-invariant
@@ -826,7 +865,8 @@ type trialResult struct {
 // the attempt budget is exhausted the trial degrades to an empty
 // aggregate carrying an explicit failure count instead of killing
 // the campaign. Genuine errors (not panics) still abort.
-func (w *trialWorker) runTrialIsolated(scenario, rep, attempts int) (*ScenarioResult, []TrialFailure, error) {
+func (w *trialWorker) runTrialIsolated(scenario, rep int) (*ScenarioResult, []TrialFailure, error) {
+	const attempts = DefaultTrialRetries + 1
 	var fails []TrialFailure
 	for attempt := 1; attempt <= attempts; attempt++ {
 		res, failure, err := w.runTrialAttempt(scenario, rep, attempt)
@@ -844,7 +884,7 @@ func (w *trialWorker) runTrialIsolated(scenario, rep, attempts int) (*ScenarioRe
 	}
 	fails[len(fails)-1].Terminal = true
 	w.m.trialsDegraded.Inc()
-	return w.failedTrialResult(scenario), fails, nil
+	return degradedTrialResult(w.comp[scenario].spec), fails, nil
 }
 
 // runTrialAttempt is one recover()-guarded execution of runTrial.
@@ -878,12 +918,6 @@ func (w *trialWorker) runTrialAttempt(scenario, rep, attempt int) (res *Scenario
 // must share for the trial-index-order merge to be defined.
 func histogramFor(s *Scenario, counts []int64) metrics.Histogram {
 	return metrics.Histogram{Lo: 0, Hi: float64(s.Horizon), Counts: counts}
-}
-
-// failedTrialResult is the degraded aggregate of a trial whose every
-// attempt panicked (see DegradedTrialResult).
-func (w *trialWorker) failedTrialResult(scenario int) *ScenarioResult {
-	return DegradedTrialResult(w.comp[scenario].spec)
 }
 
 // runTrial executes one (scenario, replication) trial: a cluster per
@@ -926,13 +960,9 @@ func (w *trialWorker) runTrial(scenario, rep int) (*ScenarioResult, error) {
 	// never on the worker, the pool state, or the completion order.
 	w.rec.Begin(0)
 	w.rng.Reseed(metrics.StreamSeed(cs.stream, uint64(rep)))
-	creds := slot.users[:0]
-	for u := 0; u < cs.users; u++ {
-		acct, err := c.AddUser(UserName(u), "pw")
-		if err != nil {
-			return nil, err
-		}
-		creds = append(creds, acct.Cred)
+	creds, err := provisionUsers(c, cs.users, slot.users)
+	if err != nil {
+		return nil, err
 	}
 	slot.users = creds
 	mix, err := s.Workload.BuildInto(&w.rng, creds, &slot.scratch)

@@ -10,9 +10,9 @@ import (
 // campaign's result. Every checkpoint is validated against the
 // (campaign, seed) identity first — a sidecar from a different
 // campaign, seed or format is rejected, exactly like a resume. The
-// reduction is Run's own: per scenario, single-trial partials merged
-// in replication (= trial-index) order, so for a complete trial set
-// the returned result's JSON() bytes equal a 1-process fleet.Run's.
+// reduction is Run's own, fleet.ReduceScenario, so for a complete
+// trial set the returned result's JSON() bytes equal a 1-process
+// fleet.Run's, and the checkpoints are never mutated.
 //
 // A replication present in more than one checkpoint is an error (the
 // planner's ranges are disjoint; overlap means the caller mixed
@@ -35,7 +35,7 @@ func MergeCheckpoints(c fleet.Campaign, seed uint64, cks []*fleet.Checkpoint, de
 		if err != nil {
 			return nil, err
 		}
-		agg, err := mergeScenario(&c.Scenarios[si], partials, degrade)
+		agg, err := fleet.ReduceScenario(&c.Scenarios[si], partials, degrade)
 		if err != nil {
 			return nil, err
 		}
@@ -65,44 +65,4 @@ func collectPartials(c fleet.Campaign, cks []*fleet.Checkpoint, si int) ([]*flee
 		}
 	}
 	return out, nil
-}
-
-// mergeScenario is the per-scenario reduction: partials folded in
-// replication order into a deep copy of the first, so merging never
-// mutates the caller's checkpoints — one loaded sidecar set can be
-// merged more than once (the streaming scanner and the final
-// assembly both read them).
-func mergeScenario(spec *fleet.Scenario, partials []*fleet.ScenarioResult, degrade bool) (*fleet.ScenarioResult, error) {
-	var agg *fleet.ScenarioResult
-	for rep := 0; rep < spec.Replications; rep++ {
-		p := partials[rep]
-		if p == nil {
-			if !degrade {
-				return nil, fmt.Errorf("shard: scenario %q replication %d missing from every shard checkpoint", spec.Name, rep)
-			}
-			p = fleet.DegradedTrialResult(spec)
-		}
-		if agg == nil {
-			agg = clonePartial(p)
-			continue
-		}
-		if err := agg.Merge(p); err != nil {
-			return nil, err
-		}
-	}
-	return agg, nil
-}
-
-// clonePartial deep-copies a partial (the histogram's bucket slice
-// and the attack aggregate's maps are the reference fields) so the
-// merge target never aliases checkpoint-owned storage.
-func clonePartial(p *fleet.ScenarioResult) *fleet.ScenarioResult {
-	r := *p
-	h := *p.MakespanHist
-	h.Counts = append([]int64(nil), h.Counts...)
-	r.MakespanHist = &h
-	if r.Attack != nil {
-		r.Attack = r.Attack.Clone()
-	}
-	return &r
 }

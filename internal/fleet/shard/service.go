@@ -49,7 +49,6 @@ type ServiceConfig struct {
 	AttemptDeadline  time.Duration
 	MaxShardRetries  int
 	BackoffBase      time.Duration
-	BackoffMax       time.Duration
 	// RetryAfter is the hint sent with 429 responses; <= 0 means
 	// DefaultRetryAfter.
 	RetryAfter time.Duration
@@ -212,7 +211,6 @@ func (s *Service) runJob(jb *job) {
 		AttemptDeadline:  s.cfg.AttemptDeadline,
 		MaxShardRetries:  s.cfg.MaxShardRetries,
 		BackoffBase:      s.cfg.BackoffBase,
-		BackoffMax:       s.cfg.BackoffMax,
 		Drain:            s.drainC,
 		Status:           jb.status,
 		Metrics:          s.reg,

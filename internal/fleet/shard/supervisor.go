@@ -61,10 +61,9 @@ type Options struct {
 	// counted failures. 0 means DefaultShardRetries; negative disables
 	// retries.
 	MaxShardRetries int
-	// BackoffBase/BackoffMax shape the exponential retry backoff:
-	// attempt k sleeps min(BackoffBase·2^(k-1), BackoffMax).
+	// BackoffBase shapes the exponential retry backoff: attempt k
+	// sleeps min(BackoffBase·2^(k-1), DefaultBackoffMax).
 	BackoffBase time.Duration
-	BackoffMax  time.Duration
 	// Drain, when closed, gracefully stops the campaign: running
 	// attempts are drained (they checkpoint), no retries launch, and
 	// Supervise returns *DrainedError.
@@ -192,9 +191,6 @@ func Supervise(c fleet.Campaign, opt Options) (*fleet.CampaignResult, error) {
 	}
 	if opt.BackoffBase <= 0 {
 		opt.BackoffBase = DefaultBackoffBase
-	}
-	if opt.BackoffMax <= 0 {
-		opt.BackoffMax = DefaultBackoffMax
 	}
 	if opt.Launcher == nil {
 		opt.Launcher = InProc{}
@@ -333,7 +329,7 @@ func (s *supervisor) advance(outcomes []*shardOutcome, merged []*fleet.ScenarioR
 			s.opt.Logf("scenario %d: %v", next, err)
 			return next
 		}
-		agg, err := mergeScenario(&s.c.Scenarios[next], partials, degrade)
+		agg, err := fleet.ReduceScenario(&s.c.Scenarios[next], partials, degrade)
 		if err != nil {
 			return next // incomplete coverage: try again on the next wake
 		}
@@ -464,12 +460,12 @@ func (s *supervisor) monitor(i int, att Attempt) error {
 	}
 }
 
-// backoff sleeps min(base·2^(attempt-1), max); false means the drain
-// fired instead.
+// backoff sleeps min(base·2^(attempt-1), DefaultBackoffMax); false
+// means the drain fired instead.
 func (s *supervisor) backoff(attempt int) bool {
 	d := s.opt.BackoffBase << uint(attempt-1)
-	if d > s.opt.BackoffMax || d <= 0 {
-		d = s.opt.BackoffMax
+	if d > DefaultBackoffMax || d <= 0 {
+		d = DefaultBackoffMax
 	}
 	select {
 	case <-time.After(d):

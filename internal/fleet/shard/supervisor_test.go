@@ -180,69 +180,108 @@ func TestStreamingScenarioOrder(t *testing.T) {
 	}
 }
 
-// MergeCheckpoints unit contract: shard sidecars merge to the clean
-// bytes; a duplicated replication (mixed plans) and a missing one
-// (without degrade) are loud errors.
+// MergeCheckpoints unit contract, per input campaign: shard sidecars
+// merge to the clean Run bytes, a run resumed from one of them reaches
+// the same bytes, and neither the merge nor the resume mutates a
+// sidecar (each re-encodes to its pre-merge bytes); a duplicated
+// replication (mixed plans) and a missing one (without degrade) are
+// loud errors. The attacked input folds attack aggregates through the
+// same reduction.
 func TestMergeCheckpoints(t *testing.T) {
-	camp := fleet.MustPreset("smoke")
-	clean := cleanJSON(t, camp, 7)
-	plan, err := Plan(camp, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	cks := make([]*fleet.Checkpoint, 2)
-	for i := range plan {
-		ck, _, err := fleet.RunShard(camp, fleet.Options{
-			Seed:           7,
-			CheckpointPath: filepath.Join(dir, "s.ck.json"),
-		}, fleet.ShardRun{Index: i, Count: 2, Ranges: plan[i].Ranges})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cks[i] = ck
-	}
-	res, err := MergeCheckpoints(camp, 7, cks, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := res.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(data, clean) {
-		t.Fatalf("merged shard checkpoints differ from the clean run:\n%s\nvs\n%s", data, clean)
-	}
-	// Merging twice from the same loaded sidecars must not corrupt
-	// them (the merge deep-copies its aggregate target).
-	res2, err := MergeCheckpoints(camp, 7, cks, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data2, _ := res2.JSON()
-	if !bytes.Equal(data2, clean) {
-		t.Fatal("second merge from the same checkpoints differs: merge mutated its inputs")
-	}
+	redteam := fleet.MustPreset(fleet.PresetE17RedTeam)
+	redteam.Scenarios = []fleet.Scenario{redteam.Scenarios[0], redteam.Scenarios[1], redteam.Scenarios[10]}
+	for _, tc := range []struct {
+		camp   fleet.Campaign
+		shards int
+	}{
+		{fleet.MustPreset("smoke"), 2},
+		{redteam, 3},
+	} {
+		t.Run(tc.camp.Name, func(t *testing.T) {
+			camp := tc.camp
+			clean := cleanJSON(t, camp, 7)
+			plan, err := Plan(camp, tc.shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			cks := make([]*fleet.Checkpoint, tc.shards)
+			encoded := make([][]byte, tc.shards)
+			for i := range plan {
+				ck, _, err := fleet.RunShard(camp, fleet.Options{
+					Seed:           7,
+					CheckpointPath: filepath.Join(dir, "s.ck.json"),
+				}, fleet.ShardRun{Index: i, Count: tc.shards, Ranges: plan[i].Ranges})
+				if err != nil {
+					t.Fatal(err)
+				}
+				cks[i] = ck
+				if encoded[i], err = json.Marshal(ck); err != nil {
+					t.Fatal(err)
+				}
+			}
+			unmutated := func(after string) {
+				t.Helper()
+				for i, ck := range cks {
+					data, err := json.Marshal(ck)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(data, encoded[i]) {
+						t.Fatalf("shard %d checkpoint re-encodes differently after %s: the reduction mutated its input", i, after)
+					}
+				}
+			}
+			// Merging twice from the same loaded sidecars must give the
+			// clean bytes both times.
+			for pass := 1; pass <= 2; pass++ {
+				res, err := MergeCheckpoints(camp, 7, cks, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				data, err := res.JSON()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(data, clean) {
+					t.Fatalf("merge %d of the shard checkpoints differs from the clean run:\n%s\nvs\n%s", pass, data, clean)
+				}
+				unmutated("a merge")
+			}
+			res, err := fleet.Run(camp, fleet.Options{Workers: 2, Seed: 7, ResumeFrom: cks[1]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, err := res.JSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(data, clean) {
+				t.Fatalf("run resumed from shard 1's sidecar differs from the clean run:\n%s\nvs\n%s", data, clean)
+			}
+			unmutated("a resume")
 
-	if _, err := MergeCheckpoints(camp, 7, []*fleet.Checkpoint{cks[0], cks[0]}, false); err == nil {
-		t.Error("duplicated replication across checkpoints accepted")
-	}
-	if _, err := MergeCheckpoints(camp, 7, cks[:1], false); err == nil {
-		t.Error("missing replications accepted without degrade")
-	}
-	degraded, err := MergeCheckpoints(camp, 7, cks[:1], true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range degraded.Scenarios {
-		missing := camp.Scenarios[i].Replications - plan[0].Ranges[i].Len()
-		if s.Failures != missing {
-			t.Errorf("scenario %d: %d failures, want %d (the absent shard's trials)", i, s.Failures, missing)
-		}
-	}
-	// Seed mismatch is rejected up front, like resume.
-	if _, err := MergeCheckpoints(camp, 8, cks, false); err == nil {
-		t.Error("checkpoints from another seed accepted")
+			if _, err := MergeCheckpoints(camp, 7, []*fleet.Checkpoint{cks[0], cks[0]}, false); err == nil {
+				t.Error("duplicated replication across checkpoints accepted")
+			}
+			if _, err := MergeCheckpoints(camp, 7, cks[:1], false); err == nil {
+				t.Error("missing replications accepted without degrade")
+			}
+			degraded, err := MergeCheckpoints(camp, 7, cks[:1], true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, s := range degraded.Scenarios {
+				missing := camp.Scenarios[i].Replications - plan[0].Ranges[i].Len()
+				if s.Failures != missing {
+					t.Errorf("scenario %d: %d failures, want %d (the absent shards' trials)", i, s.Failures, missing)
+				}
+			}
+			// Seed mismatch is rejected up front, like resume.
+			if _, err := MergeCheckpoints(camp, 8, cks, false); err == nil {
+				t.Error("checkpoints from another seed accepted")
+			}
+		})
 	}
 }
 

@@ -4,15 +4,16 @@ package fleet
 // the fleetd supervision layer (internal/fleet/shard).
 //
 // A shard is a slice of a campaign — per scenario, a half-open
-// replication sub-range — executed by the SAME engine as Run, under
-// the same determinism contract. Its result artifact is deliberately
-// not a CampaignResult but the PR-6 Checkpoint sidecar: per-trial
-// aggregates at global replication indices, so the supervisor's merge
-// re-enters the identical trial-index-order reduction Run uses and a
-// sharded campaign's merged JSON is byte-identical to a 1-process run
-// by construction. The same sidecar doubles as the shard's recovery
-// state: a killed or wedged shard worker resumes from it instead of
-// recomputing, exactly like an interrupted fleetrun.
+// replication sub-range — executed by the SAME engine as Run (which is
+// itself the full-range shard), under the same determinism contract.
+// Its result artifact is deliberately not a CampaignResult but the
+// Checkpoint sidecar: per-trial aggregates at global replication
+// indices, so the supervisor's merge goes through the same
+// ReduceScenario Run uses and a sharded campaign's merged JSON is
+// byte-identical to a 1-process run by construction. The same sidecar
+// doubles as the shard's recovery state: a killed or wedged shard
+// worker resumes from it instead of recomputing, exactly like an
+// interrupted fleetrun.
 
 import (
 	"errors"
@@ -119,14 +120,15 @@ func RunShard(c Campaign, opt Options, sh ShardRun) (*Checkpoint, []TrialFailure
 	return runShard(c, opt, &sh)
 }
 
-// DegradedTrialResult is the aggregate a trial degrades to when it
+// degradedTrialResult is the aggregate a trial degrades to when it
 // cannot be completed — every panic retry exhausted, or its shard's
-// supervisor retry budget spent: zero samples under the scenario's
-// histogram layout (so trial-index-order merging is untouched) and
-// one counted failure. An attacked scenario's degraded trial carries
-// an empty attack aggregate for the same reason: Merge requires every
-// partial of a scenario to agree on attack presence.
-func DegradedTrialResult(s *Scenario) *ScenarioResult {
+// supervisor retry budget spent (ReduceScenario with degrade): zero
+// samples under the scenario's histogram layout (so trial-index-order
+// merging is untouched) and one counted failure. An attacked
+// scenario's degraded trial carries an empty attack aggregate for the
+// same reason: Merge requires every partial of a scenario to agree on
+// attack presence.
+func degradedTrialResult(s *Scenario) *ScenarioResult {
 	tr := &trialResult{}
 	tr.hist = histogramFor(s, tr.counts[:])
 	tr.res = ScenarioResult{Name: s.Name, MakespanHist: &tr.hist, Failures: 1}

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -32,28 +33,6 @@ func TestTableFloatFormatting(t *testing.T) {
 	tb.AddRow(0.123456)
 	if got := tb.Rows()[0][0]; got != "0.123" {
 		t.Errorf("float cell = %q", got)
-	}
-}
-
-func TestDistStats(t *testing.T) {
-	var d Dist
-	if d.Mean() != 0 || d.Quantile(0.5) != 0 || d.Max() != 0 || d.N() != 0 {
-		t.Errorf("empty dist not zero")
-	}
-	for _, v := range []float64{1, 2, 3, 4, 5} {
-		d.Add(v)
-	}
-	if d.Mean() != 3 {
-		t.Errorf("mean = %v", d.Mean())
-	}
-	if d.Quantile(0) != 1 || d.Quantile(1) != 5 {
-		t.Errorf("quantile ends = %v %v", d.Quantile(0), d.Quantile(1))
-	}
-	if d.Quantile(0.5) != 3 {
-		t.Errorf("median = %v", d.Quantile(0.5))
-	}
-	if d.Max() != 5 {
-		t.Errorf("max = %v", d.Max())
 	}
 }
 
@@ -93,24 +72,22 @@ func TestRNGSplitIndependent(t *testing.T) {
 	}
 }
 
-// Property: quantile is monotone in q and bounded by [min, max].
+// Property: the histogram quantile is monotone in q and bounded by
+// the layout [Lo, Hi], whatever mix of in-range and overflow samples
+// it holds.
 func TestQuickQuantileMonotone(t *testing.T) {
 	f := func(vals []float64, qa, qb uint8) bool {
-		if len(vals) == 0 {
-			return true
-		}
-		var d Dist
+		h := NewHistogram(0, 100, 16)
 		for _, v := range vals {
-			d.Add(v)
+			h.Add(math.Mod(math.Abs(v), 120))
 		}
 		a := float64(qa%101) / 100
 		b := float64(qb%101) / 100
 		if a > b {
 			a, b = b, a
 		}
-		return d.Quantile(a) <= d.Quantile(b) &&
-			d.Quantile(0) <= d.Quantile(1) &&
-			d.Quantile(1) <= d.Max()+1e-9
+		return h.Quantile(a) <= h.Quantile(b) &&
+			h.Lo <= h.Quantile(0) && h.Quantile(1) <= h.Hi
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

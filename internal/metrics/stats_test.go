@@ -1,50 +1,10 @@
 package metrics
 
 import (
-	"bytes"
 	"encoding/json"
 	"math"
 	"testing"
 )
-
-// Dist.Merge must make shard-local Dists indistinguishable from one
-// collector: every statistic of the merged Dist equals the statistic
-// over the concatenated samples.
-func TestDistMergeMatchesCombined(t *testing.T) {
-	rng := NewRNG(31)
-	var combined Dist
-	shards := make([]*Dist, 4)
-	for i := range shards {
-		shards[i] = &Dist{}
-	}
-	for i := 0; i < 997; i++ {
-		v := rng.Float64()*100 - 50
-		combined.Add(v)
-		shards[i%len(shards)].Add(v)
-	}
-	var merged Dist
-	for _, s := range shards {
-		merged.Merge(s)
-	}
-	merged.Merge(nil) // no-op
-
-	if merged.N() != combined.N() {
-		t.Fatalf("merged N = %d, combined N = %d", merged.N(), combined.N())
-	}
-	// Samples arrive in a different order, so the mean's FP summation
-	// may differ in the last ulps; order-insensitive stats are exact.
-	if math.Abs(merged.Mean()-combined.Mean()) > 1e-12 {
-		t.Errorf("merged mean %v != combined %v", merged.Mean(), combined.Mean())
-	}
-	if merged.Max() != combined.Max() {
-		t.Errorf("merged max %v != combined %v", merged.Max(), combined.Max())
-	}
-	for q := 0.0; q <= 1.0; q += 0.05 {
-		if got, want := merged.Quantile(q), combined.Quantile(q); got != want {
-			t.Errorf("quantile(%v): merged %v != combined %v", q, got, want)
-		}
-	}
-}
 
 func TestAccMergeMatchesSequential(t *testing.T) {
 	rng := NewRNG(7)
@@ -247,46 +207,6 @@ func TestHistogramJSONRoundTripMerge(t *testing.T) {
 	var empty Histogram
 	if err := fill(1).Merge(&empty); err == nil {
 		t.Error("merge with a layoutless histogram accepted")
-	}
-}
-
-func TestDistJSONRoundTripMerge(t *testing.T) {
-	rng := NewRNG(23)
-	fill := func(n int) *Dist {
-		d := &Dist{}
-		for i := 0; i < n; i++ {
-			d.Add(rng.Float64()*1e3 - 200)
-		}
-		return d
-	}
-	for _, n := range []int{0, 1, 311} {
-		shard := fill(n)
-		data, err := json.Marshal(shard)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n == 0 && !bytes.Equal(data, []byte("[]")) {
-			t.Fatalf("empty Dist encodes as %s, want [] (canonical bytes must not depend on Add history)", data)
-		}
-		decoded := &Dist{}
-		if err := json.Unmarshal(data, decoded); err != nil {
-			t.Fatal(err)
-		}
-		if decoded.N() != shard.N() {
-			t.Fatalf("n=%d: decoded N = %d", n, decoded.N())
-		}
-		direct, viaJSON := fill(47), &Dist{}
-		viaJSON.Merge(direct)
-		direct.Merge(shard)
-		viaJSON.Merge(decoded)
-		if direct.N() != viaJSON.N() || direct.Mean() != viaJSON.Mean() || direct.Max() != viaJSON.Max() {
-			t.Fatalf("n=%d: merged stats differ: N %d/%d mean %v/%v", n, viaJSON.N(), direct.N(), viaJSON.Mean(), direct.Mean())
-		}
-		for q := 0.0; q <= 1.0; q += 0.1 {
-			if got, want := viaJSON.Quantile(q), direct.Quantile(q); got != want {
-				t.Fatalf("n=%d quantile(%v): %v via JSON, %v in memory", n, q, got, want)
-			}
-		}
 	}
 }
 

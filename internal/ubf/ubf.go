@@ -206,8 +206,3 @@ func (d *Daemon) FlushCache() {
 func (d *Daemon) InstallOn(h *netsim.Host) {
 	h.SetFirewall(d.Hook(), func(port int) bool { return port >= 1024 })
 }
-
-// InstallOnAllPorts wires the daemon with every port inspected.
-func (d *Daemon) InstallOnAllPorts(h *netsim.Host) {
-	h.SetFirewall(d.Hook(), nil)
-}
