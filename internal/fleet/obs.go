@@ -35,6 +35,7 @@ type runMetrics struct {
 	ckWriteFailures    *obs.Counter // checkpoint writes that failed (tolerated)
 	schedSteps         *obs.Counter // real scheduler ticks executed across trials
 	schedFastForwarded *obs.Counter // event-free ticks the analytic fast-forward skipped
+	schedProbes        *obs.Counter // pending jobs the scheduling passes examined
 	attackSteps        *obs.Counter // adversary campaign steps executed
 	trialTicks         *obs.Histogram
 }
@@ -57,6 +58,7 @@ func newRunMetrics(r *obs.Registry) runMetrics {
 		ckWriteFailures:    r.Counter("fleet_checkpoint_write_failures_total", "checkpoint writes that failed and were retried at the next interval"),
 		schedSteps:         r.Counter("fleet_sched_steps_total", "real scheduler ticks executed inside trials"),
 		schedFastForwarded: r.Counter("fleet_sched_fastforwarded_ticks_total", "event-free ticks the scheduler's analytic fast-forward skipped inside trials"),
+		schedProbes:        r.Counter("fleet_sched_probes_total", "pending jobs the scheduler's scheduling passes examined inside trials"),
 		attackSteps:        r.Counter("fleet_attack_steps_total", "adversary campaign steps executed inside attacked trials"),
 		trialTicks:         r.HistogramMetric("fleet_trial_ticks", "per-trial makespan in simulation ticks", TrialTickBuckets),
 	}

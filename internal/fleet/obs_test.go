@@ -226,6 +226,9 @@ func TestRunMetricsAccounting(t *testing.T) {
 	if ff < 0 {
 		t.Errorf("sched_fastforwarded = %d", ff)
 	}
+	if probes := counterValue(snap, "fleet_sched_probes_total"); probes <= 0 {
+		t.Errorf("sched_probes = %d, want > 0", probes)
+	}
 	var hist *obs.HistogramSnap
 	for i := range snap.Histograms {
 		if snap.Histograms[i].Name == "fleet_trial_ticks" {

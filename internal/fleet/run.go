@@ -106,7 +106,7 @@ type Options struct {
 type TrialFailure struct {
 	Scenario    string `json:"scenario"`
 	Replication int    `json:"replication"`
-	Attempt     int    `json:"attempt"` // 1-based
+	Attempt     int    `json:"attempt"`  // 1-based
 	Terminal    bool   `json:"terminal"` // the retry budget is exhausted; the trial degraded to a counted failure
 	Panic       string `json:"panic"`
 	Stack       string `json:"-"`
@@ -1004,12 +1004,14 @@ func (w *trialWorker) runTrial(scenario, rep int) (*ScenarioResult, error) {
 	w.rec.End(obs.PhaseDrain, c.Now())
 	ticks := int(c.Now())
 	crashes, cofail := c.Sched.Crashes()
-	// Sched.Stats is per trial: Reset (pooled) and fresh builds both
-	// start the tallies at zero, so this reads exactly this trial's
-	// real vs fast-forwarded ticks, attack-phase ticks included.
+	// Sched.Stats and Sched.Probes are per trial: Reset (pooled) and
+	// fresh builds both start the tallies at zero, so this reads
+	// exactly this trial's real vs fast-forwarded ticks and pass
+	// probes, attack-phase ticks included.
 	steps, ff := c.Sched.Stats()
 	w.m.schedSteps.Add(steps)
 	w.m.schedFastForwarded.Add(ff)
+	w.m.schedProbes.Add(c.Sched.Probes())
 
 	w.rec.Begin(c.Now())
 	tr := &trialResult{}

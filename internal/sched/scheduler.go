@@ -186,6 +186,10 @@ type Scheduler struct {
 	// cleared by Reset like every other trial-scoped tally.
 	stepCount int64
 	ffTicks   int64
+	// probes counts pending jobs the scheduling passes examined (one
+	// tryStart each): the deterministic cost of the passes, which the
+	// stop-when-full rule in stepLocked keeps to placeable work.
+	probes int64
 	// gen counts logical mutations since construction or the last
 	// Reset: zero proves the scheduler is already pristine, so Reset
 	// skips the O(nodes) rewind entirely.
@@ -279,7 +283,7 @@ func (s *Scheduler) Reset() {
 	}
 	s.busyCores, s.busyCoreTicks, s.totalCoreTicks = 0, 0, 0
 	s.crashes, s.cofailures = 0, 0
-	s.stepCount, s.ffTicks = 0, 0
+	s.stepCount, s.ffTicks, s.probes = 0, 0, 0
 	for _, ns := range s.nodes {
 		ns.usedCores, ns.usedMem, ns.usedGPUs = 0, 0, 0
 		clear(ns.jobs)
@@ -496,14 +500,20 @@ func (s *Scheduler) stepLocked() int {
 	}
 	// 3. Scheduling pass (first-fit over submit order = FIFO with
 	// backfill holes). Skipped outright when nothing changed since
-	// the last failed pass (queueBlocked) or the cluster has no free
-	// core anywhere — the full-cluster steady state of a drain costs
-	// O(1). Iterating the linked list with a next-capture lets
-	// tryStart unlink the current element in place.
+	// the last failed pass (queueBlocked), and stopped as soon as the
+	// cluster has no free core anywhere: every job asks for at least
+	// one core (Submit rejects Cores <= 0), every partition scope's
+	// free cores are bounded by the default scope's, and capacity only
+	// shrinks within a pass — so no job after that point could start,
+	// and the jobs left unvisited stay queued in order exactly as a
+	// full pass would leave them. The full-cluster steady state of a
+	// drain costs O(1). Iterating the linked list with a next-capture
+	// lets tryStart unlink the current element in place.
 	started := 0
-	if s.queue.Len() > 0 && !s.queueBlocked && s.defaultScope.freeCores > 0 {
-		for e := s.queue.Front(); e != nil; {
+	if !s.queueBlocked {
+		for e := s.queue.Front(); e != nil && s.defaultScope.freeCores > 0; {
 			next := e.Next()
+			s.probes++
 			if s.tryStart(e.Value.(*Job)) {
 				started++
 			}
@@ -741,4 +751,14 @@ func (s *Scheduler) Stats() (steps, fastForwarded int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.stepCount, s.ffTicks
+}
+
+// Probes reports how many pending jobs the scheduling passes examined
+// since construction or the last Reset. Like Stats it counts
+// simulation work, not time, so it repeats exactly for a given
+// workload and seed.
+func (s *Scheduler) Probes() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.probes
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/ids"
 )
@@ -58,7 +59,7 @@ type Node struct {
 	mu     sync.RWMutex
 	dev    map[string]*DevNode
 	pam    []PAMHook
-	downAt int64 // nonzero once the node has crashed
+	downAt atomic.Int64 // nonzero once crashed; atomic so Down (first-fit asks every node) takes no lock
 	clock  func() int64
 }
 
@@ -111,9 +112,7 @@ func (n *Node) spawnBaseDaemons() {
 // construction) and /dev nodes stay present — their ownership is
 // restored by the GPU manager's Reset, which knows the pristine modes.
 func (n *Node) Reset() {
-	n.mu.Lock()
-	n.downAt = 0
-	n.mu.Unlock()
+	n.downAt.Store(0)
 	n.Procs.Reset()
 }
 
@@ -220,9 +219,7 @@ func (n *Node) VisibleDevs(cred ids.Credential) []string {
 // Crash marks the node down (e.g. after an OOM cascade) and kills all
 // processes. Returns the number of processes that died.
 func (n *Node) Crash() int {
-	n.mu.Lock()
-	n.downAt = n.clock() + 1
-	n.mu.Unlock()
+	n.downAt.Store(n.clock() + 1)
 	killed := 0
 	for _, p := range n.Procs.All() {
 		if err := n.Procs.Exit(p.PID); err == nil {
@@ -234,17 +231,13 @@ func (n *Node) Crash() int {
 
 // Restore brings a crashed node back (fresh daemons).
 func (n *Node) Restore() {
-	n.mu.Lock()
-	n.downAt = 0
-	n.mu.Unlock()
+	n.downAt.Store(0)
 	n.spawnBaseDaemons()
 }
 
 // Down reports whether the node has crashed.
 func (n *Node) Down() bool {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.downAt != 0
+	return n.downAt.Load() != 0
 }
 
 // CheckOOM inspects total RSS against physical memory. If usage

@@ -295,3 +295,48 @@ func TestNodeKindString(t *testing.T) {
 		}
 	}
 }
+
+// TestNodeLivenessConcurrent: Down reads the crashed flag without the
+// node lock, so crashes and restores racing logins and liveness reads
+// must stay data-race free (run under -race) and leave the node in the
+// state the last transition set.
+func TestNodeLivenessConcurrent(t *testing.T) {
+	n := NewNode("c00", Compute, 4, 1<<30, nil)
+	const rounds = 200
+	var wg sync.WaitGroup
+	wg.Add(3)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			n.Crash()
+			n.Restore()
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			_ = n.Down()
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			if _, err := n.Login(testCred(1000)); err != nil && !errors.Is(err, ErrNodeDown) {
+				t.Errorf("login: %v", err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	if n.Down() {
+		t.Fatal("node still down after its last Restore")
+	}
+	n.Crash()
+	if !n.Down() {
+		t.Fatal("node up after Crash")
+	}
+	n.Reset()
+	if n.Down() {
+		t.Fatal("node down after Reset")
+	}
+}
