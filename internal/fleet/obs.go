@@ -36,6 +36,7 @@ type runMetrics struct {
 	schedSteps         *obs.Counter // real scheduler ticks executed across trials
 	schedFastForwarded *obs.Counter // event-free ticks the analytic fast-forward skipped
 	schedProbes        *obs.Counter // pending jobs the scheduling passes examined
+	schedVisits        *obs.Counter // nodes the scheduler's placement scans examined
 	attackSteps        *obs.Counter // adversary campaign steps executed
 	trialTicks         *obs.Histogram
 }
@@ -59,6 +60,7 @@ func newRunMetrics(r *obs.Registry) runMetrics {
 		schedSteps:         r.Counter("fleet_sched_steps_total", "real scheduler ticks executed inside trials"),
 		schedFastForwarded: r.Counter("fleet_sched_fastforwarded_ticks_total", "event-free ticks the scheduler's analytic fast-forward skipped inside trials"),
 		schedProbes:        r.Counter("fleet_sched_probes_total", "pending jobs the scheduler's scheduling passes examined inside trials"),
+		schedVisits:        r.Counter("fleet_sched_node_visits_total", "nodes the scheduler's first-fit placement scans examined inside trials"),
 		attackSteps:        r.Counter("fleet_attack_steps_total", "adversary campaign steps executed inside attacked trials"),
 		trialTicks:         r.HistogramMetric("fleet_trial_ticks", "per-trial makespan in simulation ticks", TrialTickBuckets),
 	}

@@ -229,6 +229,9 @@ func TestRunMetricsAccounting(t *testing.T) {
 	if probes := counterValue(snap, "fleet_sched_probes_total"); probes <= 0 {
 		t.Errorf("sched_probes = %d, want > 0", probes)
 	}
+	if visits := counterValue(snap, "fleet_sched_node_visits_total"); visits <= 0 {
+		t.Errorf("sched_node_visits = %d, want > 0", visits)
+	}
 	var hist *obs.HistogramSnap
 	for i := range snap.Histograms {
 		if snap.Histograms[i].Name == "fleet_trial_ticks" {

@@ -1004,14 +1004,15 @@ func (w *trialWorker) runTrial(scenario, rep int) (*ScenarioResult, error) {
 	w.rec.End(obs.PhaseDrain, c.Now())
 	ticks := int(c.Now())
 	crashes, cofail := c.Sched.Crashes()
-	// Sched.Stats and Sched.Probes are per trial: Reset (pooled) and
+	// Sched.Stats, Probes and Visits are per trial: Reset (pooled) and
 	// fresh builds both start the tallies at zero, so this reads
-	// exactly this trial's real vs fast-forwarded ticks and pass
-	// probes, attack-phase ticks included.
+	// exactly this trial's real vs fast-forwarded ticks, pass probes
+	// and node visits, attack-phase ticks included.
 	steps, ff := c.Sched.Stats()
 	w.m.schedSteps.Add(steps)
 	w.m.schedFastForwarded.Add(ff)
 	w.m.schedProbes.Add(c.Sched.Probes())
+	w.m.schedVisits.Add(c.Sched.Visits())
 
 	w.rec.Begin(c.Now())
 	tr := &trialResult{}

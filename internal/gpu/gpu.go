@@ -257,8 +257,13 @@ func (m *Manager) Prolog(job *sched.Job, node *simos.Node) error {
 }
 
 // Epilog is the scheduler job-end hook: optionally clear memory, then
-// return devices to the unassigned (invisible) state.
+// return devices to the unassigned (invisible) state. A job without
+// GPUs owns no device (only Prolog assigns one, and never for such a
+// job), so its epilog has nothing to release.
 func (m *Manager) Epilog(job *sched.Job, node *simos.Node) error {
+	if job.Spec.GPUs == 0 {
+		return nil
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, d := range m.byNode[node.Name] {

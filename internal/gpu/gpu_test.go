@@ -199,3 +199,78 @@ func TestTwoGPUsSameNodeTwoJobsSameUser(t *testing.T) {
 		}
 	}
 }
+
+// devState is everything a device's epilog may change: assignment,
+// memory contents and the /dev node's ownership.
+type devState struct {
+	assigned ids.UID
+	jobID    int
+	mem      string // contents up to the trailing zeros
+	written  bool
+	dev      simos.DevNode
+}
+
+func snapshotDevices(t *testing.T, m *Manager, nodes []*simos.Node) []devState {
+	t.Helper()
+	var out []devState
+	for _, n := range nodes {
+		for _, d := range m.byNode[n.Name] {
+			d.mu.Lock()
+			st := devState{assigned: d.assigned, jobID: d.jobID, mem: string(bytes.TrimRight(d.mem, "\x00")), written: d.written}
+			d.mu.Unlock()
+			dn, err := n.OpenDev(ids.RootCred(), d.DevPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st.dev = *dn
+			out = append(out, st)
+		}
+	}
+	return out
+}
+
+// TestEpilogWithoutGPUsLeavesDevices: a GPU-less job's epilog changes
+// no device, even on a node where a GPU job of the same user holds a
+// device with data in it — both when the scheduler runs the epilog at
+// the job's end and when it is called with a job value that names the
+// GPU job's ID (which only Prolog could have assigned).
+func TestEpilogWithoutGPUsLeavesDevices(t *testing.T) {
+	s, m, nodes := gpuCluster(t, true, true)
+	alice := cred(1000)
+	gj, err := s.Submit(alice, gpuJob(alice.UID, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpu := sched.JobSpec{Name: "prep", Command: "prep.sh", Cores: 1, MemB: 1, Duration: 2}
+	if _, err := s.Submit(alice, cpu); err != nil {
+		t.Fatal(err)
+	}
+	s.Step()
+	g, _ := s.Job(gj.ID)
+	if g.State != sched.Running {
+		t.Fatalf("gpu job state %v", g.State)
+	}
+	for _, d := range m.byNode[g.Nodes[0]] {
+		if d.Assigned() == alice.UID {
+			if err := d.Write(alice, 0, []byte("weights")); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	before := snapshotDevices(t, m, nodes)
+	for s.Now() < 4 { // the GPU-less job ends at tick 3
+		s.Step()
+	}
+	if got := snapshotDevices(t, m, nodes); fmt.Sprint(got) != fmt.Sprint(before) {
+		t.Fatalf("GPU-less job end changed devices:\nbefore %+v\nafter  %+v", before, got)
+	}
+	forged := &sched.Job{ID: gj.ID, User: alice.UID, Cred: alice, Spec: cpu}
+	for _, n := range nodes {
+		if err := m.Epilog(forged, n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := snapshotDevices(t, m, nodes); fmt.Sprint(got) != fmt.Sprint(before) {
+		t.Fatalf("GPU-less epilog changed devices:\nbefore %+v\nafter  %+v", before, got)
+	}
+}

@@ -39,12 +39,13 @@ func benchJobs(users, perUser, maxCores, maxDur int) []benchJob {
 
 // benchRunAll times RunAll draining jobs on s, resetting and
 // resubmitting outside the timer each iteration, and reports the
-// deterministic work counters per drain: real ticks stepped and
-// pending jobs the scheduling passes examined.
+// deterministic work counters per drain: real ticks stepped, pending
+// jobs the scheduling passes examined and nodes the placement scans
+// examined.
 func benchRunAll(b *testing.B, s *Scheduler, jobs []benchJob) {
 	b.Helper()
 	b.ReportAllocs()
-	var steps, probes int64
+	var steps, probes, visits int64
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		s.Reset()
@@ -58,9 +59,11 @@ func benchRunAll(b *testing.B, s *Scheduler, jobs []benchJob) {
 		st, _ := s.Stats()
 		steps += st
 		probes += s.Probes()
+		visits += s.Visits()
 	}
 	b.ReportMetric(float64(steps)/float64(b.N), "steps/op")
 	b.ReportMetric(float64(probes)/float64(b.N), "probes/op")
+	b.ReportMetric(float64(visits)/float64(b.N), "visits/op")
 }
 
 // BenchmarkRunAllDeepQueue drains a deep queue on a narrow cluster,

@@ -129,11 +129,15 @@ type Job struct {
 	// (ArrayID 0 = not part of an array).
 	ArrayID    int
 	ArrayIndex int
+	// uprev/unext thread the owner's pending jobs in submit order (the
+	// scheduler's per-user queue); nil once the job leaves the queue.
+	uprev, unext *Job
 }
 
 // Clone returns a copy safe to hand to observers.
 func (j *Job) Clone() *Job {
 	nj := *j
+	nj.uprev, nj.unext = nil, nil
 	nj.Cred = j.Cred.Clone()
 	nj.Nodes = append([]string(nil), j.Nodes...)
 	nj.Tasks = make(map[string]int, len(j.Tasks))

@@ -240,6 +240,12 @@ func (s *Scheduler) applyRelease(ns *nodeState, j *Job, cores int) {
 	for _, sc := range ns.scopes {
 		sc.account(ns, +1)
 	}
+	// The node has a free core now, and may be empty: pull the
+	// first-fit cursors back to it.
+	s.freeFrom = min(s.freeFrom, ns.index)
+	if ns.empty() {
+		s.emptyFrom = min(s.emptyFrom, ns.index)
+	}
 }
 
 // enrollScope computes a fresh scope over the member nodes selected

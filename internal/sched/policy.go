@@ -15,20 +15,40 @@ import "repro/internal/simos"
 // scheduling for large volumes of short jobs [25] — no reservations,
 // just pack what fits subject to the policy constraint. Both phases
 // allocate nothing; tryStart materializes the scratch on success.
+//
+// The scan starts at the first-fit cursors rather than node 0: no
+// compute node below s.freeFrom has a free core, and every compute
+// node below s.emptyFrom holds a job, so the checks below would skip
+// all of them anyway. Exclusive jobs need empty nodes, and so do
+// user-whole-node jobs whose user has no free cores on its own nodes
+// in the scope; those start at the later of the two cursors. The scan
+// moves a cursor forward whenever it passes the node at the cursor
+// and that node still fails the cursor's property.
 func (s *Scheduler) fit(j *Job) bool {
 	part := s.partitionOf(j)
 	policy := s.effectivePolicy(j)
-	if !s.probe(j, s.scopeFor(part), policy) {
+	scope := s.scopeFor(part)
+	if !s.probe(j, scope, policy) {
 		return false
+	}
+	start := s.freeFrom
+	if policy == PolicyExclusive || (policy == PolicyUserWholeNode && scope.userFree[j.User] == 0) {
+		start = max(start, s.emptyFrom)
 	}
 	remaining := j.Spec.Cores
 	sc := &s.scratch
 	sc.reset()
-	for i, ns := range s.nodes {
-		if remaining == 0 {
-			break
+	for i := start; i < len(s.nodes) && remaining > 0; i++ {
+		ns := s.nodes[i]
+		s.visits++
+		compute := ns.node.Kind == simos.Compute
+		if i == s.freeFrom && (!compute || ns.freeCores() <= 0) {
+			s.freeFrom++
 		}
-		if ns.node.Kind != simos.Compute || ns.node.Down() {
+		if i == s.emptyFrom && (!compute || !ns.empty()) {
+			s.emptyFrom++
+		}
+		if !compute || ns.node.Down() {
 			continue
 		}
 		if !inPartition(part, i) {

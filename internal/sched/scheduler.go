@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -107,13 +108,18 @@ func (ns *nodeState) userJobs(u ids.UID) int {
 	return 0
 }
 
+// userQueue is the head and tail of one user's pending jobs, threaded
+// in submit order through Job.uprev/unext.
+type userQueue struct{ head, tail *Job }
+
 // Scheduler is the cluster batch scheduler.
 //
 // The per-tick hot path is event-driven rather than scan-based (see
 // placement.go and calendar.go): pending jobs live in a linked list
-// with a jobID→element map, running jobs are indexed both ID-sorted
-// (for deterministic iteration) and in a completion calendar keyed by
-// their end tick, and capacity aggregates reject unplaceable jobs —
+// with a jobID→element map (and, per user, in the submit-order chains
+// the user-whole-node pass walks), running jobs are indexed both
+// ID-sorted (for deterministic iteration) and in a completion calendar
+// keyed by their end tick, and capacity aggregates reject unplaceable jobs —
 // or skip the whole scheduling pass — without walking nodes. Step
 // never scans the full historical s.jobs map.
 type Scheduler struct {
@@ -129,14 +135,24 @@ type Scheduler struct {
 	nextArray  int        // next array id (starts at 1)
 	queue      *list.List // pending *Job, submit order
 	queueElem  map[int]*list.Element
+	// userQueues holds each user's pending jobs in submit order
+	// (entries are removed when a user's chain empties); uids is the
+	// per-user pass's reusable UID buffer.
+	userQueues map[ids.UID]userQueue
+	uids       []ids.UID
 	jobs       map[int]*Job // every job ever submitted, by ID
 	// runningSorted indexes jobs in state Running, kept ID-sorted
-	// incrementally (inserted on start, removed on finish). It is the
-	// single authority on the running set — len() is the count, range
-	// is the deterministic iteration order (Squeue still sorts its
-	// small merged pending+running result: backfill interleaves the
-	// two ID sequences).
+	// incrementally: inserted on start; finish only changes the job's
+	// state, and compactRunningLocked drops the finished jobs once per
+	// tick (and per running-job Cancel), so it is exact whenever s.mu
+	// is released. It is the single authority on the running set —
+	// len() is the count, range is the deterministic iteration order
+	// (Squeue still sorts its small merged pending+running result:
+	// backfill interleaves the two ID sequences).
 	runningSorted []*Job
+	// runningStale is set when a job finished since the last
+	// compaction of runningSorted.
+	runningStale bool
 	// calendar schedules completions by end tick, with lazy deletion;
 	// due is its reusable pop buffer.
 	calendar calendar
@@ -188,8 +204,18 @@ type Scheduler struct {
 	ffTicks   int64
 	// probes counts pending jobs the scheduling passes examined (one
 	// tryStart each): the deterministic cost of the passes, which the
-	// stop-when-full rule in stepLocked keeps to placeable work.
+	// stop-when-full rule and the per-user pass in stepLocked keep to
+	// placeable work. visits counts the nodes fit's placement scans
+	// examined, which the first-fit cursors keep to nodes that could
+	// take the job.
 	probes int64
+	visits int64
+	// freeFrom and emptyFrom are the first-fit cursors (indexes into
+	// nodes): no compute node below freeFrom has a free core, and
+	// every compute node below emptyFrom holds a job. applyRelease
+	// lowers them, fit advances them as its scans pass.
+	freeFrom  int
+	emptyFrom int
 	// gen counts logical mutations since construction or the last
 	// Reset: zero proves the scheduler is already pristine, so Reset
 	// skips the O(nodes) rewind entirely.
@@ -214,6 +240,7 @@ func New(cfg Config, nodes []*simos.Node, gpusPerNode int) *Scheduler {
 		byName:       make(map[string]*nodeState),
 		queue:        list.New(),
 		queueElem:    make(map[int]*list.Element),
+		userQueues:   make(map[ids.UID]userQueue),
 		jobs:         make(map[int]*Job),
 		activeByUser: make(map[ids.UID]int),
 	}
@@ -269,8 +296,10 @@ func (s *Scheduler) Reset() {
 	s.userLimit = 0
 	s.queue.Init()
 	clear(s.queueElem)
+	clear(s.userQueues)
 	clear(s.jobs)
 	s.runningSorted = s.runningSorted[:0]
+	s.runningStale = false
 	s.calendar = s.calendar[:0]
 	s.due = s.due[:0]
 	clear(s.activeByUser)
@@ -283,7 +312,8 @@ func (s *Scheduler) Reset() {
 	}
 	s.busyCores, s.busyCoreTicks, s.totalCoreTicks = 0, 0, 0
 	s.crashes, s.cofailures = 0, 0
-	s.stepCount, s.ffTicks, s.probes = 0, 0, 0
+	s.stepCount, s.ffTicks, s.probes, s.visits = 0, 0, 0, 0
+	s.freeFrom, s.emptyFrom = 0, 0
 	for _, ns := range s.nodes {
 		ns.usedCores, ns.usedMem, ns.usedGPUs = 0, 0, 0
 		clear(ns.jobs)
@@ -369,7 +399,7 @@ func (s *Scheduler) Submit(cred ids.Credential, spec JobSpec) (*Job, error) {
 	s.nextID++
 	s.gen++
 	s.jobs[j.ID] = j
-	s.queueElem[j.ID] = s.queue.PushBack(j)
+	s.enqueue(j)
 	s.activeByUser[j.User]++
 	s.queueBlocked = false // a new job may fit holes the rest cannot
 	return j.Clone(), nil
@@ -399,6 +429,7 @@ func (s *Scheduler) Cancel(actor ids.Credential, jobID int) error {
 	case Running:
 		s.gen++
 		s.finish(j, Cancelled)
+		s.compactRunningLocked()
 	}
 	return nil
 }
@@ -414,12 +445,47 @@ func (s *Scheduler) decActiveLocked(uid ids.UID) {
 	}
 }
 
+// enqueue appends a new job to the pending queue and to its user's
+// chain. Caller holds s.mu.
+func (s *Scheduler) enqueue(j *Job) {
+	s.queueElem[j.ID] = s.queue.PushBack(j)
+	uq := s.userQueues[j.User]
+	if uq.tail != nil {
+		uq.tail.unext = j
+		j.uprev = uq.tail
+	} else {
+		uq.head = j
+	}
+	uq.tail = j
+	s.userQueues[j.User] = uq
+}
+
 // dequeue removes a job from the pending queue in O(1) via the
-// jobID→element index. Caller holds s.mu.
+// jobID→element index, and unlinks it from its user's chain. Caller
+// holds s.mu.
 func (s *Scheduler) dequeue(j *Job) {
-	if e, ok := s.queueElem[j.ID]; ok {
-		s.queue.Remove(e)
-		delete(s.queueElem, j.ID)
+	e, ok := s.queueElem[j.ID]
+	if !ok {
+		return
+	}
+	s.queue.Remove(e)
+	delete(s.queueElem, j.ID)
+	uq := s.userQueues[j.User]
+	if j.uprev != nil {
+		j.uprev.unext = j.unext
+	} else {
+		uq.head = j.unext
+	}
+	if j.unext != nil {
+		j.unext.uprev = j.uprev
+	} else {
+		uq.tail = j.uprev
+	}
+	j.uprev, j.unext = nil, nil
+	if uq.head == nil {
+		delete(s.userQueues, j.User)
+	} else {
+		s.userQueues[j.User] = uq
 	}
 }
 
@@ -432,13 +498,15 @@ func (s *Scheduler) startRunningLocked(j *Job) {
 	s.runningSorted[i] = j
 }
 
-// stopRunningLocked drops a job that just left state Running. Caller
-// holds s.mu.
-func (s *Scheduler) stopRunningLocked(j *Job) {
-	i := sort.Search(len(s.runningSorted), func(k int) bool { return s.runningSorted[k].ID >= j.ID })
-	if i < len(s.runningSorted) && s.runningSorted[i].ID == j.ID {
-		s.runningSorted = append(s.runningSorted[:i], s.runningSorted[i+1:]...)
+// compactRunningLocked drops the jobs that left state Running since
+// the last compaction from runningSorted in one order-preserving
+// sweep, instead of one memmove per finished job. Caller holds s.mu.
+func (s *Scheduler) compactRunningLocked() {
+	if !s.runningStale {
+		return
 	}
+	s.runningStale = false
+	s.runningSorted = slices.DeleteFunc(s.runningSorted, func(j *Job) bool { return j.State != Running })
 }
 
 // Step advances logical time by one tick: finish jobs whose time is
@@ -498,6 +566,7 @@ func (s *Scheduler) stepLocked() int {
 			}
 		}
 	}
+	s.compactRunningLocked()
 	// 3. Scheduling pass (first-fit over submit order = FIFO with
 	// backfill holes). Skipped outright when nothing changed since
 	// the last failed pass (queueBlocked), and stopped as soon as the
@@ -507,14 +576,24 @@ func (s *Scheduler) stepLocked() int {
 	// shrinks within a pass — so no job after that point could start,
 	// and the jobs left unvisited stay queued in order exactly as a
 	// full pass would leave them. The full-cluster steady state of a
-	// drain costs O(1). Iterating the linked list with a next-capture
+	// drain costs O(1). Once no empty node is left and every job is
+	// user-whole-node, the rest of the pass is the per-user pass
+	// (userPassLocked). Iterating the linked list with a next-capture
 	// lets tryStart unlink the current element in place.
 	started := 0
 	if !s.queueBlocked {
+		perUser := s.allUserWholeNodeLocked()
+		examined := 0 // highest job ID this pass examined
 		for e := s.queue.Front(); e != nil && s.defaultScope.freeCores > 0; {
+			if perUser && s.defaultScope.emptyCores == 0 {
+				started += s.userPassLocked(examined)
+				break
+			}
 			next := e.Next()
+			j := e.Value.(*Job)
 			s.probes++
-			if s.tryStart(e.Value.(*Job)) {
+			examined = j.ID
+			if s.tryStart(j) {
 				started++
 			}
 			e = next
@@ -523,6 +602,64 @@ func (s *Scheduler) stepLocked() int {
 	// Capacity only shrinks during a pass, so jobs it left pending
 	// stay unplaceable until a release/submit/restore clears this.
 	s.queueBlocked = true
+	return started
+}
+
+// allUserWholeNodeLocked reports whether every queued job's effective
+// policy is user-whole-node: the cluster policy is, and no partition
+// overrides it with another. Caller holds s.mu.
+func (s *Scheduler) allUserWholeNodeLocked() bool {
+	if s.Cfg.Policy != PolicyUserWholeNode {
+		return false
+	}
+	for _, p := range s.partitions {
+		if p.PolicyOverride != nil && *p.PolicyOverride != PolicyUserWholeNode {
+			return false
+		}
+	}
+	return true
+}
+
+// userPassLocked finishes a scheduling pass in which every job is
+// user-whole-node and the default scope has no empty node left. From
+// here on a job of user u can start only on nodes held solely by u:
+// those node sets are disjoint across users, only u's own starts
+// shrink u's set, and nothing in a pass empties a node or raises any
+// user's free cores. So a job of a user with no free cores
+// (defaultScope.userFree, which bounds every partition scope's) would
+// fail its probe, and the pass visits only the users that have some,
+// each user's jobs in submit order, skipping the jobs the pass already
+// examined (IDs up to examined; IDs follow submit order). It starts
+// exactly the jobs the full pass would, and because each user's starts
+// touch only that user's nodes — their per-node PID tables and GPUs —
+// taking the users in ascending UID order changes no placement, PID
+// or record. Returns the number of jobs started. Caller holds s.mu.
+func (s *Scheduler) userPassLocked(examined int) int {
+	// userFree has an entry only for a user with free cores on a node
+	// held solely by that user, so it is never larger than the node
+	// count, however many users have pending jobs.
+	free := s.defaultScope.userFree
+	uids := s.uids[:0]
+	for u := range free {
+		if _, ok := s.userQueues[u]; ok {
+			uids = append(uids, u)
+		}
+	}
+	slices.Sort(uids)
+	s.uids = uids
+	started := 0
+	for _, u := range uids {
+		for j := s.userQueues[u].head; j != nil && free[u] > 0; {
+			next := j.unext
+			if j.ID > examined {
+				s.probes++
+				if s.tryStart(j) {
+					started++
+				}
+			}
+			j = next
+		}
+	}
 	return started
 }
 
@@ -570,7 +707,7 @@ func (s *Scheduler) finish(j *Job, state JobState) {
 	}
 	j.State = state
 	j.End = s.now
-	s.stopRunningLocked(j)
+	s.runningStale = true
 	s.decActiveLocked(j.User)
 	s.busyCores -= int64(j.Spec.Cores)
 	for _, nodeName := range j.Nodes {
@@ -617,13 +754,7 @@ func (s *Scheduler) tryStart(j *Job) bool {
 		s.applyPlace(ns, j, cores)
 		// Spawn one task process per node, carrying the command line
 		// (the thing hidepid protects).
-		p := ns.node.Procs.Spawn(j.Cred, 1, "slurmstepd", j.Spec.Command)
-		_ = ns.node.Procs.SetJob(p.PID, j.ID)
-		rss := j.Spec.MemB
-		if j.Spec.ActualMemB > rss {
-			rss = j.Spec.ActualMemB
-		}
-		_ = ns.node.Procs.SetRSS(p.PID, rss)
+		ns.node.Procs.SpawnTask(j.Cred, j.ID, effMemB(j), "slurmstepd", j.Spec.Command)
 		for _, h := range s.prologs {
 			_ = h(j, ns.node)
 		}
@@ -761,4 +892,13 @@ func (s *Scheduler) Probes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.probes
+}
+
+// Visits reports how many nodes fit's placement scans examined since
+// construction or the last Reset: the deterministic cost of first-fit
+// placement, as Probes is of the passes.
+func (s *Scheduler) Visits() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.visits
 }

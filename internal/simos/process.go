@@ -94,7 +94,7 @@ type Table struct {
 	// published pointers stay stable; a chunk is reclaimed when nothing
 	// references it anymore. At 10k-node scale the construction daemons
 	// alone are 30k entries, so this is a residency win — but ONLY the
-	// daemon path uses it: trial-time Spawn/SetJob/SetRSS allocate
+	// daemon path uses it: trial-time Spawn/SpawnTask allocate
 	// individually, because initializing a slot inside an existing heap
 	// chunk pays bulk pointer write barriers on every spawn and keeps
 	// dead transient entries alive until their whole chunk dies, both
@@ -274,6 +274,23 @@ func (t *Table) rebuildLocked() []*Process {
 func (t *Table) Spawn(cred ids.Credential, ppid ids.PID, comm string, argv ...string) *Process {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	return t.spawnLocked(cred, ppid, 0, 0, comm, argv).Clone()
+}
+
+// SpawnTask creates the task process of scheduler job jobID (a child
+// of init, like Spawn with ppid 1) with its resident memory already
+// recorded, and returns its PID. It publishes the entry that Spawn
+// followed by SetJob and SetRSS would leave, as one entry and one
+// generation bump instead of three.
+func (t *Table) SpawnTask(cred ids.Credential, jobID int, rss int64, comm string, argv ...string) ids.PID {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.spawnLocked(cred, 1, jobID, rss, comm, argv).PID
+}
+
+// spawnLocked builds, publishes and returns a fresh running process
+// entry. Caller holds t.mu for writing.
+func (t *Table) spawnLocked(cred ids.Credential, ppid ids.PID, jobID int, rss int64, comm string, argv []string) *Process {
 	p := &Process{
 		PID:     t.nextPID,
 		PPID:    ppid,
@@ -282,11 +299,13 @@ func (t *Table) Spawn(cred ids.Credential, ppid ids.PID, comm string, argv ...st
 		Cmdline: append([]string{comm}, argv...),
 		State:   StateRunning,
 		Start:   t.clock(),
+		RSS:     rss,
+		JobID:   jobID,
 	}
 	t.nextPID++
 	t.procs[p.PID] = p
 	t.dirtyLocked()
-	return p.Clone()
+	return p
 }
 
 // SpawnDaemon creates a system daemon process (root-owned unless a

@@ -1,6 +1,7 @@
 package simos
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -175,4 +176,47 @@ func TestSnapshotRaceStress(t *testing.T) {
 		}(ids.UID(1000 + r%writers))
 	}
 	wg.Wait()
+}
+
+// TestSpawnTaskMatchesSpawnSetJobSetRSS: SpawnTask publishes, in one
+// entry, exactly the entry Spawn followed by SetJob and SetRSS leaves
+// behind — same PIDs on twin tables, deep-equal entries — and, like
+// every mutation, it invalidates the cached snapshot.
+func TestSpawnTaskMatchesSpawnSetJobSetRSS(t *testing.T) {
+	clock := func() int64 { return 17 }
+	three, one := NewTable(clock), NewTable(clock)
+	three.SpawnDaemon("sshd")
+	one.SpawnDaemon("sshd")
+	cr := testCred(1000)
+	for k := 0; k < 3; k++ {
+		p := three.Spawn(cr, 1, "slurmstepd", "train.py", "--epochs=3")
+		if err := three.SetJob(p.PID, 40+k); err != nil {
+			t.Fatal(err)
+		}
+		if err := three.SetRSS(p.PID, int64(k+1)<<20); err != nil {
+			t.Fatal(err)
+		}
+
+		before := one.All()
+		gen := one.Generation()
+		pid := one.SpawnTask(cr, 40+k, int64(k+1)<<20, "slurmstepd", "train.py", "--epochs=3")
+		if pid != p.PID {
+			t.Fatalf("SpawnTask PID %d, Spawn PID %d", pid, p.PID)
+		}
+		if one.Generation() == gen {
+			t.Fatalf("SpawnTask did not bump the generation")
+		}
+		after := one.All()
+		if len(after) != len(before)+1 {
+			t.Fatalf("snapshot after SpawnTask has %d entries, want %d", len(after), len(before)+1)
+		}
+		got, ok := one.Lookup(pid)
+		if !ok {
+			t.Fatalf("SpawnTask entry %d missing", pid)
+		}
+		want, _ := three.Lookup(pid)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("SpawnTask entry %+v, Spawn+SetJob+SetRSS entry %+v", got, want)
+		}
+	}
 }
